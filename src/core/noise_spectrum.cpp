@@ -61,41 +61,62 @@ void NoiseSpectrum::apply_gain(double g) {
 
 namespace {
 
-// Periodic linear interpolation of a bin array at a fractional index.
+// Interpolated bin value at a fractional index in [0, N); the linear upper
+// neighbour of the last bin, and a nearest index rounded up to N, wrap to 0.
 double sample_bins(std::span<const double> bins, double index,
                    NoiseSpectrum::Interp interp) {
-  const auto n = static_cast<double>(bins.size());
-  double idx = std::fmod(index, n);
-  if (idx < 0.0) idx += n;
+  const std::size_t n = bins.size();
   if (interp == NoiseSpectrum::Interp::kNearest) {
-    const auto k = static_cast<std::size_t>(std::lround(idx)) % bins.size();
-    return bins[k];
+    const auto k = static_cast<std::size_t>(std::lround(index));
+    return bins[k == n ? 0 : k];
   }
-  const auto lo = static_cast<std::size_t>(std::floor(idx));
-  const double frac = idx - static_cast<double>(lo);
-  const std::size_t hi = (lo + 1) % bins.size();
-  return bins[lo % bins.size()] * (1.0 - frac) + bins[hi] * frac;
+  // index >= 0, so the signed conversion truncates exactly like floor.
+  const auto lo = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(index));
+  const double frac = index - static_cast<double>(lo);
+  const std::size_t hi = lo + 1 == n ? 0 : lo + 1;
+  return bins[lo] * (1.0 - frac) + bins[hi] * frac;
 }
 
 }  // namespace
 
+void fold_bins(std::span<const double> in, std::size_t factor,
+               NoiseSpectrum::Interp interp, std::span<double> out) {
+  const std::size_t n = in.size();
+  PSDACC_EXPECTS(factor >= 1 && out.size() == n);
+  const double inv_m = 1.0 / static_cast<double>(factor);
+  const auto n_d = static_cast<double>(n);
+  // k and rN are integers below 2^53, so the running double counters hold
+  // them exactly. For k < N and r < M the source index (k + rN)/M is below
+  // N, so no wrap is needed.
+  double k_d = 0.0;
+  for (std::size_t k = 0; k < n; ++k, k_d += 1.0) {
+    double acc = 0.0;
+    double rn = 0.0;
+    for (std::size_t r = 0; r < factor; ++r, rn += n_d)
+      acc += sample_bins(in, (k_d + rn) * inv_m, interp);
+    out[k] = acc * inv_m;
+  }
+}
+
+void compress_bins(std::span<const double> in, std::size_t factor,
+                   std::span<double> out) {
+  const std::size_t n = in.size();
+  PSDACC_EXPECTS(factor >= 1 && out.size() == n);
+  const double inv_l = 1.0 / static_cast<double>(factor);
+  const std::size_t step = factor % n;
+  // src runs through kL mod N without a division per bin.
+  for (std::size_t k = 0, src = 0; k < n; ++k) {
+    out[k] = in[src] * inv_l;
+    src += step;
+    if (src >= n) src -= n;
+  }
+}
+
 void NoiseSpectrum::decimate(std::size_t factor, Interp interp) {
   PSDACC_EXPECTS(factor >= 1);
   if (factor == 1) return;
-  const std::size_t n = bins_.size();
-  std::vector<double> out(n, 0.0);
-  const double inv_m = 1.0 / static_cast<double>(factor);
-  for (std::size_t k = 0; k < n; ++k) {
-    double acc = 0.0;
-    for (std::size_t r = 0; r < factor; ++r) {
-      const double src_index =
-          (static_cast<double>(k) +
-           static_cast<double>(r) * static_cast<double>(n)) *
-          inv_m;
-      acc += sample_bins(bins_, src_index, interp);
-    }
-    out[k] = acc * inv_m;
-  }
+  std::vector<double> out(bins_.size());
+  fold_bins(bins_, factor, interp, out);
   bins_ = std::move(out);
   // mean unchanged: E[x[Mn]] == E[x[n]].
 }
@@ -105,9 +126,8 @@ void NoiseSpectrum::expand(std::size_t factor) {
   if (factor == 1) return;
   const std::size_t n = bins_.size();
   const double inv_l = 1.0 / static_cast<double>(factor);
-  std::vector<double> out(n, 0.0);
-  for (std::size_t k = 0; k < n; ++k)
-    out[k] = bins_[(k * factor) % n] * inv_l;
+  std::vector<double> out(n);
+  compress_bins(bins_, factor, out);
   // The zero-stuffed deterministic mean becomes a periodic impulse train:
   // DC line mean/L stays coherent, the L-1 image lines at F = r/L carry
   // power (mean/L)^2 each and are folded into the stochastic bins.
@@ -128,10 +148,10 @@ NoiseSpectrum NoiseSpectrum::resampled(std::size_t new_bins) const {
   out.mean_ = mean_;
   const double ratio = static_cast<double>(bins_.size()) /
                        static_cast<double>(new_bins);
+  const auto n = static_cast<double>(bins_.size());
   for (std::size_t k = 0; k < new_bins; ++k) {
-    out.bins_[k] =
-        sample_bins(bins_, static_cast<double>(k) * ratio, Interp::kLinear) *
-        ratio;
+    const double index = std::fmod(static_cast<double>(k) * ratio, n);
+    out.bins_[k] = sample_bins(bins_, index, Interp::kLinear) * ratio;
   }
   return out;
 }

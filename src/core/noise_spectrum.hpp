@@ -91,4 +91,15 @@ class NoiseSpectrum {
   std::vector<double> bins_;
 };
 
+/// The 1-D multirate rules on one periodic line of N bins, shared by
+/// NoiseSpectrum and the separable 2-D spectra built from such lines.
+/// Decimation fold: out[k] = (1/M) sum_{r<M} in((k + rN) / M), off-grid
+/// indices interpolated per @p interp. @p out must not alias @p in.
+void fold_bins(std::span<const double> in, std::size_t factor,
+               NoiseSpectrum::Interp interp, std::span<double> out);
+/// Spectral compression of zero insertion: out[k] = in[kL mod N] / L. The
+/// image lines of a mean are the caller's. @p out must not alias @p in.
+void compress_bins(std::span<const double> in, std::size_t factor,
+                   std::span<double> out);
+
 }  // namespace psdacc::core

@@ -1,6 +1,7 @@
 #include "serve/net.hpp"
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -83,6 +84,14 @@ sockaddr_in loopback(std::uint16_t port) {
   return addr;
 }
 
+// Replies go out as several small writes (a PROG frame, then the next frame).
+// With Nagle on, each write after the first waits for the peer's delayed ACK,
+// about 40 ms on Linux, so both ends turn it off.
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 ListenSocket::ListenSocket(std::uint16_t port) {
@@ -104,7 +113,10 @@ ListenSocket::ListenSocket(std::uint16_t port) {
 Socket ListenSocket::accept_connection() const {
   for (;;) {
     const int fd = ::accept(sock_.fd(), nullptr, nullptr);
-    if (fd >= 0) return Socket(fd);
+    if (fd >= 0) {
+      set_nodelay(fd);
+      return Socket(fd);
+    }
     if (errno != EINTR) return Socket();  // shut down or fatal
   }
 }
@@ -117,6 +129,7 @@ Socket connect_local(std::uint16_t port) {
   if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
                 sizeof(addr)) < 0)
     throw_errno("connect 127.0.0.1");
+  set_nodelay(fd);
   return sock;
 }
 

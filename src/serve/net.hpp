@@ -3,7 +3,9 @@
 /// the IPv4 loopback, exact-length reads/writes, and a listener that can be
 /// unblocked for shutdown. Loopback-only on purpose — psdacc-serve is a
 /// local evaluation daemon, not an internet-facing service; anything
-/// remote belongs behind a reverse proxy that owns auth and TLS.
+/// remote belongs behind a reverse proxy that owns auth and TLS. Both ends
+/// of every connection run with TCP_NODELAY, so a small frame is sent at
+/// once instead of waiting for the peer's delayed ACK.
 #pragma once
 
 #include <cstddef>

@@ -1,153 +1,120 @@
 #include "wavelet/dwt2d_noise.hpp"
 
-#include <cmath>
+#include <algorithm>
+#include <iterator>
+#include <utility>
 
+#include "core/noise_spectrum.hpp"
 #include "filters/transfer_function.hpp"
 #include "fixedpoint/noise_model.hpp"
 #include "support/assert.hpp"
 #include "wavelet/daub97.hpp"
 
 namespace psdacc::wav {
-namespace {
 
-// Periodic linear interpolation over one axis line.
-double sample_line(std::span<const double> line, double index) {
-  const auto n = static_cast<double>(line.size());
-  double idx = std::fmod(index, n);
-  if (idx < 0.0) idx += n;
-  const auto lo = static_cast<std::size_t>(std::floor(idx));
-  const double frac = idx - static_cast<double>(lo);
-  const std::size_t hi = (lo + 1) % line.size();
-  return line[lo % line.size()] * (1.0 - frac) + line[hi] * frac;
+Spectrum2d::Spectrum2d(std::size_t n_bins)
+    : n_(n_bins), ones_(std::make_shared<const Line>(n_bins, 1.0)) {
+  PSDACC_EXPECTS(n_bins >= 2 && n_bins % 2 == 0);
 }
 
-// 1-D fold (decimation image sum): out[k] = (1/M) sum_r in((k + rN)/M).
-std::vector<double> fold_line(std::span<const double> line,
-                              std::size_t factor) {
-  const std::size_t n = line.size();
-  std::vector<double> out(n, 0.0);
-  const double inv_m = 1.0 / static_cast<double>(factor);
-  for (std::size_t k = 0; k < n; ++k) {
-    double acc = 0.0;
-    for (std::size_t r = 0; r < factor; ++r)
-      acc += sample_line(line, (static_cast<double>(k) +
-                                static_cast<double>(r * n)) *
-                                   inv_m);
-    out[k] = acc * inv_m;
+double Spectrum2d::bin(std::size_t ky, std::size_t kx) const {
+  double acc = 0.0;
+  for (const Term& t : terms_) acc += t.c * (*t.col)[ky] * (*t.row)[kx];
+  return acc;
+}
+
+std::vector<double> Spectrum2d::grid() const {
+  std::vector<double> out(n_ * n_, 0.0);
+  for (const Term& t : terms_) {
+    const Line& row = *t.row;
+    for (std::size_t ky = 0; ky < n_; ++ky) {
+      const double scale = t.c * (*t.col)[ky];
+      double* line = out.data() + ky * n_;
+      for (std::size_t kx = 0; kx < n_; ++kx) line[kx] += scale * row[kx];
+    }
   }
   return out;
 }
 
-// 1-D spectral compression (zero-insertion): out[k] = (1/L) in[kL mod N].
-std::vector<double> compress_line(std::span<const double> line,
-                                  std::size_t factor) {
-  const std::size_t n = line.size();
-  std::vector<double> out(n);
-  const double inv_l = 1.0 / static_cast<double>(factor);
-  for (std::size_t k = 0; k < n; ++k)
-    out[k] = line[(k * factor) % n] * inv_l;
-  return out;
-}
-
-}  // namespace
-
-Spectrum2d::Spectrum2d(std::size_t n_bins)
-    : n_(n_bins), bins_(n_bins * n_bins, 0.0) {
-  PSDACC_EXPECTS(n_bins >= 2 && n_bins % 2 == 0);
-}
-
 double Spectrum2d::variance() const {
+  auto sum = [](const Line& f) {
+    double acc = 0.0;
+    for (double v : f) acc += v;
+    return acc;
+  };
   double acc = 0.0;
-  for (double v : bins_) acc += v;
+  for (const Term& t : terms_) acc += t.c * sum(*t.row) * sum(*t.col);
   return acc;
 }
 
 double Spectrum2d::power() const { return mean_ * mean_ + variance(); }
 
 void Spectrum2d::add_white(double variance, double mean) {
-  const double per_bin = variance / static_cast<double>(n_ * n_);
-  for (double& v : bins_) v += per_bin;
+  if (variance != 0.0)
+    terms_.push_back({variance / static_cast<double>(n_ * n_), ones_, ones_});
   mean_ += mean;
 }
 
 void Spectrum2d::add_uncorrelated(const Spectrum2d& other) {
   PSDACC_EXPECTS(other.n_ == n_);
-  for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += other.bins_[i];
+  terms_.insert(terms_.end(), other.terms_.begin(), other.terms_.end());
   mean_ += other.mean_;
 }
 
-void Spectrum2d::apply_row_response(std::span<const double> power_response,
-                                    double dc) {
+template <typename Transform>
+void Spectrum2d::map_factors(Factor Term::*axis, Transform transform) {
+  // (old, new) pairs: terms that share a factor share its transform.
+  std::vector<std::pair<Factor, Factor>> done;
+  for (Term& t : terms_) {
+    Factor& f = t.*axis;
+    auto it = std::find_if(done.begin(), done.end(),
+                           [&](const auto& p) { return p.first == f; });
+    if (it == done.end()) {
+      auto out = std::make_shared<Line>(n_);
+      transform(*f, *out);
+      done.emplace_back(f, std::move(out));
+      it = std::prev(done.end());
+    }
+    f = it->second;
+  }
+}
+
+void Spectrum2d::apply_response(Factor Term::*axis,
+                                std::span<const double> power_response,
+                                double dc) {
   PSDACC_EXPECTS(power_response.size() == n_);
-  for (std::size_t ky = 0; ky < n_; ++ky)
-    for (std::size_t kx = 0; kx < n_; ++kx)
-      bins_[ky * n_ + kx] *= power_response[kx];
+  map_factors(axis, [&](const Line& in, Line& out) {
+    for (std::size_t k = 0; k < n_; ++k) out[k] = in[k] * power_response[k];
+  });
   mean_ *= dc;
 }
 
-void Spectrum2d::apply_col_response(std::span<const double> power_response,
-                                    double dc) {
-  PSDACC_EXPECTS(power_response.size() == n_);
-  for (std::size_t ky = 0; ky < n_; ++ky)
-    for (std::size_t kx = 0; kx < n_; ++kx)
-      bins_[ky * n_ + kx] *= power_response[ky];
-  mean_ *= dc;
-}
-
-void Spectrum2d::decimate_rows(std::size_t factor) {
+void Spectrum2d::decimate(Factor Term::*axis, std::size_t factor) {
   if (factor == 1) return;
-  std::vector<double> line(n_);
-  for (std::size_t ky = 0; ky < n_; ++ky) {
-    for (std::size_t kx = 0; kx < n_; ++kx) line[kx] = bins_[ky * n_ + kx];
-    const auto folded = fold_line(line, factor);
-    for (std::size_t kx = 0; kx < n_; ++kx) bins_[ky * n_ + kx] = folded[kx];
-  }
+  map_factors(axis, [&](const Line& in, Line& out) {
+    core::fold_bins(in, factor, core::NoiseSpectrum::Interp::kLinear, out);
+  });
 }
 
-void Spectrum2d::decimate_cols(std::size_t factor) {
-  if (factor == 1) return;
-  std::vector<double> line(n_);
-  for (std::size_t kx = 0; kx < n_; ++kx) {
-    for (std::size_t ky = 0; ky < n_; ++ky) line[ky] = bins_[ky * n_ + kx];
-    const auto folded = fold_line(line, factor);
-    for (std::size_t ky = 0; ky < n_; ++ky) bins_[ky * n_ + kx] = folded[ky];
-  }
-}
-
-void Spectrum2d::expand_rows(std::size_t factor) {
+void Spectrum2d::expand(Factor Term::*axis, std::size_t factor) {
   if (factor == 1) return;
   PSDACC_EXPECTS(n_ % factor == 0);
-  std::vector<double> line(n_);
-  for (std::size_t ky = 0; ky < n_; ++ky) {
-    for (std::size_t kx = 0; kx < n_; ++kx) line[kx] = bins_[ky * n_ + kx];
-    const auto compressed = compress_line(line, factor);
-    for (std::size_t kx = 0; kx < n_; ++kx)
-      bins_[ky * n_ + kx] = compressed[kx];
+  map_factors(axis, [&](const Line& in, Line& out) {
+    core::compress_bins(in, factor, out);
+  });
+  // The zero-stuffed mean is constant along the other axis, so its L - 1
+  // image lines sit at frequency rN/L on this axis and at 0 on the other.
+  const double image = mean_ / static_cast<double>(factor);
+  if (image != 0.0) {
+    auto delta0 = std::make_shared<Line>(n_, 0.0);
+    (*delta0)[0] = 1.0;
+    for (std::size_t r = 1; r < factor; ++r) {
+      auto delta = std::make_shared<Line>(n_, 0.0);
+      (*delta)[(r * n_) / factor] = 1.0;
+      Term& t = terms_.emplace_back(Term{image * image, delta0, delta0});
+      t.*axis = std::move(delta);
+    }
   }
-  // Mean image lines along kx at ky = 0 (the mean is constant along y).
-  const double image_power =
-      (mean_ / static_cast<double>(factor)) *
-      (mean_ / static_cast<double>(factor));
-  for (std::size_t r = 1; r < factor; ++r)
-    bins_[0 * n_ + (r * n_) / factor] += image_power;
-  mean_ /= static_cast<double>(factor);
-}
-
-void Spectrum2d::expand_cols(std::size_t factor) {
-  if (factor == 1) return;
-  PSDACC_EXPECTS(n_ % factor == 0);
-  std::vector<double> line(n_);
-  for (std::size_t kx = 0; kx < n_; ++kx) {
-    for (std::size_t ky = 0; ky < n_; ++ky) line[ky] = bins_[ky * n_ + kx];
-    const auto compressed = compress_line(line, factor);
-    for (std::size_t ky = 0; ky < n_; ++ky)
-      bins_[ky * n_ + kx] = compressed[ky];
-  }
-  const double image_power =
-      (mean_ / static_cast<double>(factor)) *
-      (mean_ / static_cast<double>(factor));
-  for (std::size_t r = 1; r < factor; ++r)
-    bins_[((r * n_) / factor) * n_ + 0] += image_power;
   mean_ /= static_cast<double>(factor);
 }
 
@@ -180,63 +147,60 @@ FilterTables make_tables(std::size_t n_bins) {
   return t;
 }
 
-// Recursive mirror of dwt2d_roundtrip on spectra (proposed method).
-Spectrum2d codec_noise_level(const Spectrum2d& in, std::size_t level,
+// Recursive mirror of dwt2d_roundtrip on spectra (proposed method). Every
+// band is taken by value and moved on its last use, so a spectrum is copied
+// only where it feeds two bands.
+Spectrum2d codec_noise_level(Spectrum2d in, std::size_t level,
                              std::size_t levels, const FilterTables& t,
-                             double q_var, double q_mean,
-                             std::size_t n_bins) {
-  auto filt_rows_down = [&](const Spectrum2d& s,
-                            const std::vector<double>& pow, double dc) {
-    Spectrum2d out = s;
-    out.apply_row_response(pow, dc);
-    out.add_white(q_var, q_mean);
-    out.decimate_rows(2);
-    return out;
+                             double q_var, double q_mean) {
+  auto filt_rows_down = [&](Spectrum2d s, const std::vector<double>& pow,
+                            double dc) {
+    s.apply_row_response(pow, dc);
+    s.add_white(q_var, q_mean);
+    s.decimate_rows(2);
+    return s;
   };
-  auto filt_cols_down = [&](const Spectrum2d& s,
-                            const std::vector<double>& pow, double dc) {
-    Spectrum2d out = s;
-    out.apply_col_response(pow, dc);
-    out.add_white(q_var, q_mean);
-    out.decimate_cols(2);
-    return out;
+  auto filt_cols_down = [&](Spectrum2d s, const std::vector<double>& pow,
+                            double dc) {
+    s.apply_col_response(pow, dc);
+    s.add_white(q_var, q_mean);
+    s.decimate_cols(2);
+    return s;
   };
-  auto up_filt_cols = [&](const Spectrum2d& s,
-                          const std::vector<double>& pow, double dc) {
-    Spectrum2d out = s;
-    out.expand_cols(2);
-    out.apply_col_response(pow, dc);
-    out.add_white(q_var, q_mean);
-    return out;
+  auto up_filt_cols = [&](Spectrum2d s, const std::vector<double>& pow,
+                          double dc) {
+    s.expand_cols(2);
+    s.apply_col_response(pow, dc);
+    s.add_white(q_var, q_mean);
+    return s;
   };
-  auto up_filt_rows = [&](const Spectrum2d& s,
-                          const std::vector<double>& pow, double dc) {
-    Spectrum2d out = s;
-    out.expand_rows(2);
-    out.apply_row_response(pow, dc);
-    out.add_white(q_var, q_mean);
-    return out;
+  auto up_filt_rows = [&](Spectrum2d s, const std::vector<double>& pow,
+                          double dc) {
+    s.expand_rows(2);
+    s.apply_row_response(pow, dc);
+    s.add_white(q_var, q_mean);
+    return s;
   };
 
   // Analysis.
-  const Spectrum2d l = filt_rows_down(in, t.h0_pow, t.h0_dc);
-  const Spectrum2d h = filt_rows_down(in, t.h1_pow, t.h1_dc);
+  Spectrum2d l = filt_rows_down(in, t.h0_pow, t.h0_dc);
+  Spectrum2d h = filt_rows_down(std::move(in), t.h1_pow, t.h1_dc);
   Spectrum2d ll = filt_cols_down(l, t.h0_pow, t.h0_dc);
-  const Spectrum2d lh = filt_cols_down(l, t.h1_pow, t.h1_dc);
-  const Spectrum2d hl = filt_cols_down(h, t.h0_pow, t.h0_dc);
-  const Spectrum2d hh = filt_cols_down(h, t.h1_pow, t.h1_dc);
+  Spectrum2d lh = filt_cols_down(std::move(l), t.h1_pow, t.h1_dc);
+  Spectrum2d hl = filt_cols_down(h, t.h0_pow, t.h0_dc);
+  Spectrum2d hh = filt_cols_down(std::move(h), t.h1_pow, t.h1_dc);
 
   // Recurse on the approximation band.
   if (level < levels)
-    ll = codec_noise_level(ll, level + 1, levels, t, q_var, q_mean, n_bins);
+    ll = codec_noise_level(std::move(ll), level + 1, levels, t, q_var, q_mean);
 
   // Synthesis (columns then rows, matching dwt2d.cpp).
-  Spectrum2d lcol = up_filt_cols(ll, t.g0_pow, t.g0_dc);
-  lcol.add_uncorrelated(up_filt_cols(lh, t.g1_pow, t.g1_dc));
-  Spectrum2d hcol = up_filt_cols(hl, t.g0_pow, t.g0_dc);
-  hcol.add_uncorrelated(up_filt_cols(hh, t.g1_pow, t.g1_dc));
-  Spectrum2d out = up_filt_rows(lcol, t.g0_pow, t.g0_dc);
-  out.add_uncorrelated(up_filt_rows(hcol, t.g1_pow, t.g1_dc));
+  Spectrum2d lcol = up_filt_cols(std::move(ll), t.g0_pow, t.g0_dc);
+  lcol.add_uncorrelated(up_filt_cols(std::move(lh), t.g1_pow, t.g1_dc));
+  Spectrum2d hcol = up_filt_cols(std::move(hl), t.g0_pow, t.g0_dc);
+  hcol.add_uncorrelated(up_filt_cols(std::move(hh), t.g1_pow, t.g1_dc));
+  Spectrum2d out = up_filt_rows(std::move(lcol), t.g0_pow, t.g0_dc);
+  out.add_uncorrelated(up_filt_rows(std::move(hcol), t.g1_pow, t.g1_dc));
   return out;
 }
 
@@ -297,8 +261,8 @@ Spectrum2d dwt2d_noise_psd(const Dwt2dNoiseConfig& cfg) {
   const auto m = fxp::continuous_quantization_noise(cfg.format);
   Spectrum2d in(cfg.n_bins);
   if (cfg.quantize_input) in.add_white(m.variance, m.mean);
-  return codec_noise_level(in, 1, cfg.levels, t, m.variance, m.mean,
-                           cfg.n_bins);
+  return codec_noise_level(std::move(in), 1, cfg.levels, t, m.variance,
+                           m.mean);
 }
 
 double dwt2d_noise_power_moments(const Dwt2dNoiseConfig& cfg,

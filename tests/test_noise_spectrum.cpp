@@ -1,11 +1,17 @@
 // NoiseSpectrum invariants: power bookkeeping through every transformation
 // the propagation engine applies (Eq. 10/11/14 + multirate rules).
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/noise_spectrum.hpp"
 #include "filters/iir_design.hpp"
+#include "support/random.hpp"
+
+#include "spectrum_oracle.hpp"
 
 namespace {
 
@@ -109,6 +115,39 @@ TEST(Decimate, LowpassHalfBandFoldsFlat) {
   }
   // Power is preserved overall (31 bins carried 1.0 before decimation).
   EXPECT_NEAR(s.variance(), 31.0, 0.5);
+}
+
+// The shared 1-D fold samples without the original fmod wrap (for k < N and
+// r < M the source index (k + rN)/M already lies in [0, N)), and the
+// compression walks kL mod N without a division. Both must reproduce the
+// wrapped formulas bit for bit.
+bool same_bits(const std::vector<double>& a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Decimate, BitIdenticalToTheWrappedFormula) {
+  psdacc::Xoshiro256 rng(84);
+  std::size_t cases = 0;
+  for (const std::size_t n : {2u, 3u, 7u, 64u, 1000u, 1024u, 4096u}) {
+    for (const std::size_t m : {2u, 3u, 4u, 5u, 8u, 16u}) {
+      for (const auto interp :
+           {NoiseSpectrum::Interp::kNearest, NoiseSpectrum::Interp::kLinear}) {
+        NoiseSpectrum s(n);
+        for (std::size_t k = 0; k < n; ++k) s.bin(k) = rng.uniform();
+        const auto want = psdacc::oracle::fold(s.bins(), m, interp);
+        s.decimate(m, interp);
+        EXPECT_TRUE(same_bits(want, s.bins())) << "n=" << n << " m=" << m;
+        ++cases;
+      }
+      std::vector<double> line(n), got(n);
+      for (double& v : line) v = rng.uniform();
+      psdacc::core::compress_bins(line, m, got);
+      EXPECT_TRUE(same_bits(psdacc::oracle::compress(line, m), got))
+          << "n=" << n << " m=" << m;
+    }
+  }
+  EXPECT_EQ(cases, 84u);
 }
 
 TEST(Expand, WhitePowerDividesByFactor) {

@@ -1,9 +1,14 @@
 // Serving-layer tests: wire-protocol robustness (truncated frames,
 // oversized length prefixes, unknown tags, malformed payloads), admission
 // control and drain semantics of the JobQueue, ResultCache LRU behavior,
-// latency histogram quantiles, and full end-to-end runs against a live
-// in-process server — including the golden corpus submitted over a real
-// socket and checked against its recorded expectations at 1e-9.
+// latency histogram quantiles, socket options on both connection ends, and
+// full end-to-end runs against a live in-process server — including the
+// golden corpus submitted over a real socket and checked against its
+// recorded expectations at 1e-9.
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cctype>
@@ -23,6 +28,7 @@
 
 #include "serve/client.hpp"
 #include "serve/job_queue.hpp"
+#include "serve/net.hpp"
 #include "serve/protocol.hpp"
 #include "serve/result_cache.hpp"
 #include "serve/server.hpp"
@@ -229,6 +235,30 @@ TEST(ServeStats, HistogramQuantilesAreBucketUpperBounds) {
   EXPECT_EQ(h.count(), 100u);
   EXPECT_EQ(h.quantile_us(0.50), 128.0);
   EXPECT_EQ(h.quantile_us(0.95), 8192.0);
+}
+
+// ---------------------------------------------------------------------------
+// Sockets
+// ---------------------------------------------------------------------------
+
+int nodelay_of(const serve::Socket& sock) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  if (::getsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &value, &len) != 0)
+    return -1;
+  return value;
+}
+
+// Both ends disable Nagle: otherwise the frame written after a PROG frame
+// waits ~40 ms for the peer's delayed ACK.
+TEST(ServeNet, BothConnectionEndsSetNoDelay) {
+  const serve::ListenSocket listener(0);
+  const serve::Socket client = serve::connect_local(listener.port());
+  const serve::Socket server = listener.accept_connection();
+  ASSERT_TRUE(client.valid());
+  ASSERT_TRUE(server.valid());
+  EXPECT_GT(nodelay_of(client), 0);
+  EXPECT_GT(nodelay_of(server), 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
 // Wavelet tests: CDF 9/7 biorthogonality / perfect reconstruction (1-D SFG
-// and 2-D codec), codec delay arithmetic, Spectrum2d invariants, and the
-// 2-D analytical estimate against fixed-point simulation on images.
+// and 2-D codec), codec delay arithmetic, Spectrum2d invariants, the
+// separable 2-D estimator against the N x N grid oracle, and the 2-D
+// analytical estimate against fixed-point simulation on images.
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +19,8 @@
 #include "wavelet/dwt2d.hpp"
 #include "wavelet/dwt2d_noise.hpp"
 #include "wavelet/dwt_sfg.hpp"
+
+#include "spectrum_oracle.hpp"
 
 namespace {
 
@@ -187,6 +193,90 @@ TEST(Spectrum2d, DecimatePreservesPowerExpandDivides) {
   EXPECT_NEAR(s.variance(), 0.5, 1e-9);
   s.expand_cols(2);
   EXPECT_NEAR(s.variance(), 0.25, 1e-9);
+}
+
+TEST(Spectrum2d, BinAndGridAgreeAndExcludeTheMean) {
+  wav::Spectrum2d s(8);
+  s.add_white(1.0, 0.5);
+  std::vector<double> resp(8);
+  for (std::size_t k = 0; k < 8; ++k) resp[k] = 1.0 + static_cast<double>(k);
+  s.apply_row_response(resp, 2.0);  // mean 1.0
+  s.expand_rows(2);  // image line (1.0 / 2)^2 at (ky, kx) = (0, N/2)
+  const auto grid = s.grid();
+  ASSERT_EQ(grid.size(), 64u);
+  double total = 0.0;
+  for (std::size_t ky = 0; ky < 8; ++ky)
+    for (std::size_t kx = 0; kx < 8; ++kx) {
+      EXPECT_EQ(s.bin(ky, kx), grid[ky * 8 + kx]);
+      total += grid[ky * 8 + kx];
+    }
+  EXPECT_NEAR(total, s.variance(), 1e-12);
+  EXPECT_DOUBLE_EQ(s.mean(), 0.5);
+  EXPECT_DOUBLE_EQ(s.bin(0, 4) - s.bin(1, 4), 0.25);
+}
+
+// The separable estimator against the grid oracle it replaced, over levels
+// x bins per axis x rounding x input quantization. Truncation has a nonzero
+// mean, so the upsamplers' image lines are exercised.
+class Dwt2dOracle
+    : public ::testing::TestWithParam<
+          std::tuple<std::size_t, std::size_t, fxp::RoundingMode, bool>> {};
+
+TEST_P(Dwt2dOracle, MatchesTheGridEstimator) {
+  const auto [levels, bins, rounding, quantize_input] = GetParam();
+  const wav::Dwt2dNoiseConfig cfg{.levels = levels,
+                                  .format = fxp::q_format(4, 12, rounding),
+                                  .n_bins = bins,
+                                  .quantize_input = quantize_input};
+  const auto got = wav::dwt2d_noise_psd(cfg);
+  const auto want = oracle::grid_dwt2d_noise_psd(cfg);
+  EXPECT_EQ(got.mean(), want.mean());
+  EXPECT_NEAR(got.power(), want.power(), 1e-12 * want.power());
+  if (bins > 64) return;
+  const auto grid = got.grid();
+  const double peak =
+      *std::max_element(want.bins().begin(), want.bins().end());
+  double worst = 0.0;
+  for (std::size_t i = 0; i < grid.size(); ++i)
+    worst = std::max(worst, std::abs(grid[i] - want.bins()[i]));
+  EXPECT_LE(worst, 1e-12 * peak);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LevelsBinsRounding, Dwt2dOracle,
+    ::testing::Combine(::testing::Values<std::size_t>(1, 2, 3, 4),
+                       ::testing::Values<std::size_t>(8, 16, 32, 64, 128, 256),
+                       ::testing::Values(fxp::RoundingMode::kRoundNearest,
+                                         fxp::RoundingMode::kTruncate),
+                       ::testing::Bool()),
+    [](const auto& info) {
+      const auto& p = info.param;
+      std::string name = "L";
+      name += std::to_string(std::get<0>(p));
+      name += "_N";
+      name += std::to_string(std::get<1>(p));
+      name += std::get<2>(p) == fxp::RoundingMode::kTruncate ? "_trunc"
+                                                             : "_round";
+      name += std::get<3>(p) ? "_qin" : "_noqin";
+      return name;
+    });
+
+TEST(Dwt2dNoise, TermCountsPerLevel) {
+  // Each level adds white terms at its 12 quantizers and, with a nonzero
+  // mean, one image line per upsampler; the LH, HL and HH bands carry
+  // copies of the terms the level's input already had.
+  const std::vector<std::size_t> truncate{24, 53, 88, 129};
+  const std::vector<std::size_t> round{18, 41, 70, 105};
+  for (std::size_t levels = 1; levels <= 4; ++levels) {
+    wav::Dwt2dNoiseConfig cfg{.levels = levels,
+                              .format = fxp::q_format(
+                                  4, 12, fxp::RoundingMode::kTruncate),
+                              .n_bins = 16,
+                              .quantize_input = true};
+    EXPECT_EQ(wav::dwt2d_noise_psd(cfg).term_count(), truncate[levels - 1]);
+    cfg.format.rounding = fxp::RoundingMode::kRoundNearest;
+    EXPECT_EQ(wav::dwt2d_noise_psd(cfg).term_count(), round[levels - 1]);
+  }
 }
 
 TEST(Dwt2dNoise, EstimateMatchesImageSimulation) {
